@@ -3,21 +3,60 @@
 #ifndef FLOWERCDN_BLOOM_BLOOM_FILTER_H_
 #define FLOWERCDN_BLOOM_BLOOM_FILTER_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace flower {
 
+/// One key's k bit positions in filters of one geometry (num_bits,
+/// num_hashes), as (word, mask) pairs. A scan that asks many filters of
+/// the same geometry about one key builds the probe once; each filter
+/// test is then k AND-tests with no hashing or division.
+class BloomProbe {
+ public:
+  /// The largest num_hashes a filter may have (SimConfig::Apply rejects
+  /// larger summary_num_hashes).
+  static constexpr int kMaxHashes = 16;
+
+  BloomProbe(uint64_t key, size_t num_bits, int num_hashes);
+
+  size_t num_bits() const { return num_bits_; }
+  int num_hashes() const { return num_hashes_; }
+
+ private:
+  friend class BloomFilter;
+
+  uint64_t key_;
+  size_t num_bits_;
+  int num_hashes_;
+  std::array<size_t, kMaxHashes> words_{};
+  std::array<uint64_t, kMaxHashes> masks_{};
+};
+
 class BloomFilter {
  public:
-  /// Creates a filter with `num_bits` bits and `num_hashes` hash functions.
+  /// Creates a filter with `num_bits` bits and `num_hashes` hash functions
+  /// (1 <= num_hashes <= BloomProbe::kMaxHashes).
   BloomFilter(size_t num_bits, int num_hashes);
 
   void Add(uint64_t key);
 
   /// True if the key *may* be present; false means definitely absent.
   bool MaybeContains(uint64_t key) const;
+
+  /// Same answer as MaybeContains(key) for the probe's key. A probe built
+  /// for another geometry falls back to hashing its key for this filter.
+  bool MaybeContains(const BloomProbe& probe) const {
+    if (probe.num_bits_ != num_bits_ || probe.num_hashes_ != num_hashes_) {
+      return MaybeContains(probe.key_);
+    }
+    for (int i = 0; i < num_hashes_; ++i) {
+      if ((bits_[probe.words_[i]] & probe.masks_[i]) == 0) return false;
+    }
+    return true;
+  }
 
   void Clear();
 
@@ -28,6 +67,8 @@ class BloomFilter {
   int num_hashes() const { return num_hashes_; }
   size_t CountSetBits() const;
   uint64_t num_insertions() const { return insertions_; }
+  /// The filter's 64-bit words, bit p at word p / 64, bit p % 64.
+  const std::vector<uint64_t>& words() const { return bits_; }
 
   /// Theoretical false-positive rate for the current insertion count:
   /// (1 - e^{-kn/m})^k.
@@ -39,9 +80,6 @@ class BloomFilter {
   }
 
  private:
-  // Double hashing: position_i = h1 + i * h2 (mod m).
-  void Positions(uint64_t key, std::vector<size_t>* out) const;
-
   size_t num_bits_;
   int num_hashes_;
   std::vector<uint64_t> bits_;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bloom/bloom_filter.h"
+#include "common/config.h"
 #include "common/types.h"
 
 namespace flower {
@@ -19,11 +20,22 @@ class ContentSummary {
   /// (the paper bounds it by nb_ob, the per-website object count).
   ContentSummary(int capacity, int bits_per_object, int num_hashes);
 
+  /// An empty summary with the geometry every summary of a run shares:
+  /// nb_ob objects at `summary_bits_per_object` bits, `summary_num_hashes`.
+  explicit ContentSummary(const SimConfig& config);
+
+  /// The probe for `id` in summaries built from `config`. A scan over many
+  /// summaries builds it once and tests each with MaybeContains(probe).
+  static BloomProbe Probe(ObjectId id, const SimConfig& config);
+
   /// Convenience: empty summary with default geometry for tests.
   ContentSummary() : ContentSummary(1, 8, 5) {}
 
   void Add(ObjectId id) { filter_.Add(id); }
   bool MaybeContains(ObjectId id) const { return filter_.MaybeContains(id); }
+  bool MaybeContains(const BloomProbe& probe) const {
+    return filter_.MaybeContains(probe);
+  }
   void Clear() { filter_.Clear(); }
 
   /// Rebuilds from a full object list.

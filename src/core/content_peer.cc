@@ -298,10 +298,7 @@ void ContentPeer::StartOverlayTimers() {
 
 std::shared_ptr<const ContentSummary> ContentPeer::CurrentSummary() {
   if (summary_dirty_ || summary_ == nullptr) {
-    auto s = std::make_shared<ContentSummary>(
-        ctx_->config->num_objects_per_website,
-        ctx_->config->summary_bits_per_object,
-        ctx_->config->summary_num_hashes);
+    auto s = std::make_shared<ContentSummary>(*ctx_->config);
     for (const auto& [o, size] : content_.entries()) s->Add(o);
     summary_ = std::move(s);
     summary_dirty_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "bloom/summary.h"
 #include "common/logging.h"
 #include "core/flower_system.h"
 #include "gossip/gossip_messages.h"
@@ -264,10 +265,11 @@ bool DirectoryPeer::RedirectViaViewSummaries(
   // Used by freshly promoted directories while the index rebuilds
   // (Sec 5.2: "answers first queries from its content summaries").
   std::vector<PeerAddress> candidates;
+  const BloomProbe probe = ContentSummary::Probe(query->object, *ctx_->config);
   for (const ViewEntry& e : view_.entries()) {
     if (!e.summary || e.addr == query->client || e.addr == address()) continue;
     if (dir_store_.Contains(e.addr)) continue;  // already tried via the index
-    if (e.summary->MaybeContains(query->object)) candidates.push_back(e.addr);
+    if (e.summary->MaybeContains(probe)) candidates.push_back(e.addr);
   }
   if (candidates.empty()) return false;
   PeerAddress target = candidates[rng_.Index(candidates.size())];
@@ -281,9 +283,10 @@ bool DirectoryPeer::RedirectViaDirSummaries(
     std::unique_ptr<FlowerQueryMsg>& query) {
   if (query->dir_redirects >= 2) return false;  // bound dir-to-dir forwarding
   std::vector<const DirectoryStore::NeighborSummary*> candidates;
+  const BloomProbe probe = ContentSummary::Probe(query->object, *ctx_->config);
   for (const auto& [dir_id, ns] : dir_store_.summaries()) {
     if (ns.addr == address() || !ns.summary) continue;
-    if (ns.summary->MaybeContains(query->object)) candidates.push_back(&ns);
+    if (ns.summary->MaybeContains(probe)) candidates.push_back(&ns);
   }
   if (candidates.empty()) return false;
   const DirectoryStore::NeighborSummary* target =
@@ -379,10 +382,7 @@ std::vector<NodeRef> DirectoryPeer::SameWebsiteNeighbors() const {
 }
 
 std::shared_ptr<const ContentSummary> DirectoryPeer::BuildIndexSummary() {
-  auto s = std::make_shared<ContentSummary>(
-      ctx_->config->num_objects_per_website,
-      ctx_->config->summary_bits_per_object,
-      ctx_->config->summary_num_hashes);
+  auto s = std::make_shared<ContentSummary>(*ctx_->config);
   // Bloom filters hash the original 64-bit ids, so summaries built from
   // the slot-encoded index stay bit-identical to pre-flyweight builds.
   for (ObjectSlot slot : dir_store_.holder_slots()) {
@@ -668,10 +668,7 @@ void DirectoryPeer::HandleMessage(MessagePtr msg) {
     // the current directory address.
     auto reply = std::make_unique<GossipReplyMsg>();
     if (!content_.empty()) {
-      auto s = std::make_shared<ContentSummary>(
-          ctx_->config->num_objects_per_website,
-          ctx_->config->summary_bits_per_object,
-          ctx_->config->summary_num_hashes);
+      auto s = std::make_shared<ContentSummary>(*ctx_->config);
       for (const auto& [o, size] : content_.entries()) s->Add(o);
       reply->own_summary = std::move(s);
     }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "bloom/summary.h"
+
 namespace flower {
 
 FlowerMembership::FlowerMembership(MembershipHost* host)
@@ -93,9 +95,10 @@ void FlowerMembership::AppendHolderCandidates(
     ObjectId object, const std::vector<PeerAddress>& tried,
     std::vector<PeerAddress>* out) const {
   const PeerAddress self = host_->HostAddress();
+  const BloomProbe probe = ContentSummary::Probe(object, host_->HostConfig());
   for (const ViewEntry& e : view_.entries()) {
     if (!e.summary || e.addr == self) continue;
-    if (!e.summary->MaybeContains(object)) continue;
+    if (!e.summary->MaybeContains(probe)) continue;
     if (std::find(tried.begin(), tried.end(), e.addr) != tried.end()) {
       continue;
     }

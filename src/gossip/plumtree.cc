@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "bloom/summary.h"
+
 namespace flower {
 
 Plumtree::Plumtree(MembershipHost* host) : host_(host) {}
@@ -232,9 +234,10 @@ void Plumtree::AppendHolderCandidates(
     ObjectId object, const std::vector<PeerAddress>& tried,
     std::vector<PeerAddress>* out) const {
   const PeerAddress self = host_->HostAddress();
+  const BloomProbe probe = ContentSummary::Probe(object, host_->HostConfig());
   for (const auto& [addr, st] : summaries_) {
     if (!st.summary || addr == self) continue;
-    if (!st.summary->MaybeContains(object)) continue;
+    if (!st.summary->MaybeContains(probe)) continue;
     if (std::find(tried.begin(), tried.end(), addr) != tried.end()) {
       continue;
     }

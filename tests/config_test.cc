@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "bloom/bloom_filter.h"
+
 namespace flower {
 namespace {
 
@@ -98,6 +102,28 @@ TEST(ConfigTest, DirectoryIndexKeys) {
   EXPECT_FALSE(c.Apply("directory_index_capacity", "-5").ok());
   EXPECT_FALSE(c.Apply("directory_index_capacity", "lots").ok());
   EXPECT_EQ(c.directory_index_policy, "gdsf") << "bad values must not stick";
+}
+
+TEST(ConfigTest, SummaryGeometryValidated) {
+  SimConfig c;
+  // Zero bits per object would divide by zero in every Bloom probe, and
+  // zero hashes would make every summary claim every object.
+  for (const char* bad : {"0", "-1", "x"}) {
+    Status s = c.Apply("summary_bits_per_object", bad);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+  }
+  for (const char* bad : {"0", "-3", "17", "x"}) {
+    Status s = c.Apply("summary_num_hashes", bad);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ(c.summary_bits_per_object, 8) << "bad values must not stick";
+  EXPECT_EQ(c.summary_num_hashes, 5);
+  EXPECT_TRUE(c.Apply("summary_bits_per_object", "1").ok());
+  EXPECT_TRUE(c.Apply("summary_num_hashes", "1").ok());
+  EXPECT_TRUE(c.Apply("summary_num_hashes",
+                      std::to_string(BloomProbe::kMaxHashes)).ok());
+  EXPECT_EQ(c.summary_bits_per_object, 1);
+  EXPECT_EQ(c.summary_num_hashes, BloomProbe::kMaxHashes);
 }
 
 TEST(ConfigTest, CacheCostKey) {
