@@ -146,13 +146,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     shards = static_cast<int>(i);
     return Status::Ok();
   }
-  if (key == "sim_engine") {
-    if (value != "heap" && value != "calendar") {
-      return UnknownEnumValue(key, value, {"heap", "calendar"});
-    }
-    sim_engine = value;
-    return Status::Ok();
-  }
   if (key == "shard_executor") {
     if (value != "auto" && value != "serial" && value != "threads") {
       return UnknownEnumValue(key, value, {"auto", "serial", "threads"});
@@ -297,22 +290,19 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     fault_partitions = value;
     return Status::Ok();
   }
-  if (key == "fault_delay_jitter" || key == "fault_delay_spike") {
+  if (key == "fault_delay_jitter") {
     if (!ParseTime(value, &t) || t < 0) {
       return Status::InvalidArgument(key + " wants a time >= 0");
     }
-    (key == "fault_delay_jitter" ? fault_delay_jitter : fault_delay_spike) = t;
+    fault_delay_jitter = t;
     return Status::Ok();
   }
-  if (key == "fault_delay_spike_probability" ||
-      key == "fault_silent_crash_probability") {
+  if (key == "fault_silent_crash_probability") {
     if (!ParseDouble(value, &d) || d < 0.0 || d > 1.0) {
       return Status::InvalidArgument(key +
                                      " wants a probability in [0, 1]");
     }
-    (key == "fault_delay_spike_probability" ? fault_delay_spike_probability
-                                            : fault_silent_crash_probability) =
-        d;
+    fault_silent_crash_probability = d;
     return Status::Ok();
   }
   if (key == "query_timeout") {
@@ -426,10 +416,6 @@ std::string SimConfig::ToString() const {
   if (!fault_duplicate.empty()) os << " fault_dup=" << fault_duplicate;
   if (fault_delay_jitter > 0) {
     os << " fault_jitter=" << fault_delay_jitter << "ms";
-  }
-  if (fault_delay_spike_probability > 0 && fault_delay_spike > 0) {
-    os << " fault_spike=" << fault_delay_spike << "ms/p="
-       << fault_delay_spike_probability;
   }
   if (!fault_partitions.empty()) {
     os << " fault_partitions=" << fault_partitions;

@@ -36,13 +36,6 @@ struct SimConfig {
   /// deterministic schedule than shards=1 (window-phased dispatch,
   /// per-lane RNG streams), so compare sharded runs with sharded runs.
   int shards = 1;
-  /// Scheduling engine of every event queue (src/sim/engine_queue.h):
-  /// "heap" (default, 4-ary implicit heap, O(log n)) or "calendar"
-  /// (ladder calendar queue, O(1) amortized — faster at large live
-  /// event sets). Both engines dispatch the identical (time, seq) total
-  /// order, so every output byte is the same either way; the knob only
-  /// trades wall-clock time. It therefore never appears in ToString().
-  std::string sim_engine = "heap";
   /// Lane executor under shards >= 2: "serial" runs lanes in lane order
   /// on one thread; "threads" runs shard groups on a worker pool
   /// (requires a system whose lane state is isolated — Flower without
@@ -215,10 +208,6 @@ struct SimConfig {
   /// message. Jitter only ever adds latency, so the sharded engine's
   /// conservative lookahead stays sound.
   SimTime fault_delay_jitter = 0;
-  /// With this probability a delivery additionally waits fault_delay_spike
-  /// (a congestion burst). Both must be > 0 to take effect.
-  double fault_delay_spike_probability = 0;
-  SimTime fault_delay_spike = 0;
   /// Scheduled partition windows: ";"-separated "A|B@START-END" cuts where
   /// each side is a locality id, "*" (everyone else) or an "n"-prefixed
   /// node list ("n5,n7"), e.g. "0|1@30min-1h;n5,n7|*@10min-20min".

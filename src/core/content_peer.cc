@@ -162,8 +162,11 @@ std::unique_ptr<FlowerQueryMsg> ContentPeer::MakeQuery(
 bool ContentPeer::TryPeerDirect(ObjectId object, PendingQuery* pq) {
   // Candidates: contacts whose summary may contain the object and that we
   // have not asked yet this query; the membership enumerates them in a
-  // deterministic order and this peer's RNG draws the pick.
-  std::vector<PeerAddress> candidates;
+  // deterministic order and this peer's RNG draws the pick. The buffer is
+  // per-thread scratch reused across queries; it is filled and read
+  // before Send, so no other query can see it in between.
+  static thread_local std::vector<PeerAddress> candidates;
+  candidates.clear();
   membership_->AppendHolderCandidates(object, pq->tried, &candidates);
   if (candidates.empty()) return false;
   PeerAddress target = candidates[rng_.Index(candidates.size())];

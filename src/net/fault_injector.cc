@@ -215,16 +215,6 @@ Result<FaultPlan> FaultPlan::FromConfig(const SimConfig& config) {
     return Status::InvalidArgument("fault_delay_jitter must be >= 0");
   }
   plan.delay_jitter = config.fault_delay_jitter;
-  if (config.fault_delay_spike < 0) {
-    return Status::InvalidArgument("fault_delay_spike must be >= 0");
-  }
-  plan.delay_spike = config.fault_delay_spike;
-  if (config.fault_delay_spike_probability < 0 ||
-      config.fault_delay_spike_probability > 1) {
-    return Status::InvalidArgument(
-        "fault_delay_spike_probability wants a probability in [0, 1]");
-  }
-  plan.delay_spike_probability = config.fault_delay_spike_probability;
   if (config.fault_silent_crash_probability < 0 ||
       config.fault_silent_crash_probability > 1) {
     return Status::InvalidArgument(
@@ -250,7 +240,6 @@ bool FaultPlan::AnyDuplication() const {
 
 bool FaultPlan::Active() const {
   return AnyLoss() || AnyDuplication() || delay_jitter > 0 ||
-         (delay_spike_probability > 0 && delay_spike > 0) ||
          !partitions.empty() || silent_crash_probability > 0;
 }
 
@@ -304,15 +293,8 @@ bool FaultInjector::DrawDuplicate(TrafficClass cls) {
 }
 
 SimTime FaultInjector::DrawExtraDelay() {
-  SimTime extra = 0;
-  if (plan_.delay_jitter > 0) {
-    extra += SelfRng().UniformInt(0, plan_.delay_jitter);
-  }
-  if (plan_.delay_spike_probability > 0 && plan_.delay_spike > 0 &&
-      SelfRng().Bernoulli(plan_.delay_spike_probability)) {
-    extra += plan_.delay_spike;
-  }
-  return extra;
+  if (plan_.delay_jitter <= 0) return 0;
+  return SelfRng().UniformInt(0, plan_.delay_jitter);
 }
 
 bool FaultInjector::DrawSilentCrash() {

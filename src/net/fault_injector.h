@@ -5,7 +5,7 @@
 // master seed (Mix64(seed ^ (kFaultLaneTag + slot))), never from the
 // simulator's master RNG, so attaching an injector with every fault
 // disabled changes no output byte, and sharded runs stay byte-identical
-// across shard counts, executors and engines (lanes == localities, which
+// across shard counts and executors (lanes == localities, which
 // is shard-count invariant). Partition cuts are a pure function of
 // (sender, destination, time) and draw nothing.
 //
@@ -58,8 +58,6 @@ struct FaultPlan {
   std::array<double, kNumClasses> loss{};       // per-class drop prob
   std::array<double, kNumClasses> duplicate{};  // per-class dup prob
   SimTime delay_jitter = 0;                     // uniform [0, jitter] add-on
-  double delay_spike_probability = 0;
-  SimTime delay_spike = 0;  // extra delay when a spike fires
   std::vector<PartitionWindow> partitions;
   double silent_crash_probability = 0;  // churn fail -> no bounce
 
@@ -114,8 +112,8 @@ class FaultInjector {
   bool DrawDuplicate(TrafficClass cls);
   void CountDuplicate() { ++Self().injected_duplicates; }
 
-  /// Extra latency for one delivery: uniform jitter plus an occasional
-  /// spike. Always >= 0, so the sharded engine's conservative lookahead
+  /// Extra latency for one delivery: uniform jitter in [0, delay_jitter].
+  /// Always >= 0, so the sharded engine's conservative lookahead
   /// (a lower bound on cross-lane delay) stays sound.
   SimTime DrawExtraDelay();
 

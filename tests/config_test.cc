@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "bloom/bloom_filter.h"
 
@@ -63,6 +64,23 @@ TEST(ConfigTest, UnknownKeyRejected) {
   Status s = c.Apply("no_such_key", "1");
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+}
+
+// Removed keys are unknown like any typo, so a stale script fails fast
+// instead of silently running a different world.
+TEST(ConfigTest, RemovedKeysRejected) {
+  const std::pair<const char*, const char*> removed[] = {
+      {"sim_engine", "heap"},
+      {"fault_delay_spike", "1s"},
+      {"fault_delay_spike_probability", "0.1"},
+  };
+  for (const auto& [key, value] : removed) {
+    SimConfig c;
+    Status s = c.Apply(key, value);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(s.message().find("unknown config key"), std::string::npos)
+        << key << ": " << s.ToString();
+  }
 }
 
 TEST(ConfigTest, MalformedValueRejected) {
